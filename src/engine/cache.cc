@@ -170,27 +170,54 @@ void EngineCache::EvictOverCap(Shard& shard) {
 }
 
 ChasedScenarioPtr EngineCache::LookupChased(const std::string& key) {
+  bool compiled = false;
+  return GetOrCompileChased(key, nullptr, nullptr, &compiled);
+}
+
+ChasedScenarioPtr EngineCache::GetOrCompileChased(
+    const std::string& key,
+    const std::function<ChasedScenarioPtr()>& compile,
+    const CancellationToken* cancel, bool* compiled) {
   Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
+  std::unique_lock<std::mutex> lock(shard.mutex);
+  // Sit out a running chase of this key, polling the caller's own token:
+  // a canceled solve never waits on another solve's chase.
+  while (shard.chases_in_flight.count(key) > 0 &&
+         (cancel == nullptr || !cancel->stop_requested())) {
+    shard.chase_done.wait_for(lock, std::chrono::milliseconds(1));
+  }
+  *compiled = false;
   auto it = shard.chased_memo.find(key);
-  if (it == shard.chased_memo.end()) {
-    ++shard.stats.chase_misses;
+  if (it != shard.chased_memo.end()) {
+    ++shard.stats.chase_hits;
+    if (it->second.restored) ++shard.stats.chase_restored_hits;
     if (g_solve_sink != nullptr) {
-      g_solve_sink->chase_misses.fetch_add(1, std::memory_order_relaxed);
+      g_solve_sink->chase_hits.fetch_add(1, std::memory_order_relaxed);
+      if (it->second.restored) {
+        g_solve_sink->chase_restored_hits.fetch_add(
+            1, std::memory_order_relaxed);
+      }
     }
-    return nullptr;
+    TouchChased(shard, it->second);
+    return it->second.artifact;
   }
-  ++shard.stats.chase_hits;
-  if (it->second.restored) ++shard.stats.chase_restored_hits;
+  ++shard.stats.chase_misses;
   if (g_solve_sink != nullptr) {
-    g_solve_sink->chase_hits.fetch_add(1, std::memory_order_relaxed);
-    if (it->second.restored) {
-      g_solve_sink->chase_restored_hits.fetch_add(1,
-                                                  std::memory_order_relaxed);
-    }
+    g_solve_sink->chase_misses.fetch_add(1, std::memory_order_relaxed);
   }
-  TouchChased(shard, it->second);
-  return it->second.artifact;
+  if (!compile) return nullptr;
+  *compiled = true;
+  // A canceled waiter compiles beside the running chase, not as leader.
+  const bool lead = shard.chases_in_flight.insert(key).second;
+  lock.unlock();
+  ChasedScenarioPtr artifact = compile();
+  if (!artifact->canceled) StoreChased(key, artifact);
+  if (lead) {
+    lock.lock();
+    shard.chases_in_flight.erase(key);
+    shard.chase_done.notify_all();
+  }
+  return artifact;
 }
 
 void EngineCache::StoreChased(const std::string& key,

@@ -2,12 +2,14 @@
 #define GDX_ENGINE_CACHE_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <limits>
 #include <list>
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "chase/chase_compiler.h"
@@ -188,6 +190,7 @@ class ScopedCacheAttribution {
 ///    ids) and the graph's exact RawSignature. Both are name-free and
 ///    collision-free, so entries are shared soundly across scenarios and
 ///    universes: equal keys imply the evaluation inputs are bitwise equal.
+///    ExchangeEngine skips it (docs/ARCHITECTURE.md §The cache tiers).
 ///  * Answer memo — constant query-answer sets per solution graph. Nulls
 ///    are generation artifacts (every solve draws fresh ones), so a plain
 ///    signature key would never repeat; instead the key is the query's raw
@@ -281,13 +284,24 @@ class EngineCache : public CompiledNreCache {
 
   /// Looks up the chased-scenario artifact for a ChaseCompiler::Key;
   /// nullptr on a miss. Every call counts as exactly one chase hit or
-  /// miss (like the other memos).
+  /// miss (like the other memos). Waits like GetOrCompileChased.
   ChasedScenarioPtr LookupChased(const std::string& key);
 
   /// Publishes a compiled chase artifact. Racing publishers of one key
   /// keep the first (artifacts are interchangeable — compilation is
   /// deterministic).
   void StoreChased(const std::string& key, ChasedScenarioPtr artifact);
+
+  /// Single-flight LookupChased + compile + StoreChased: a miss runs
+  /// `compile` (outside the lock; must not throw) while later callers of
+  /// the key wait, then count a hit on its artifact. A canceled artifact
+  /// is not published; the waiters then compile in turn. A caller whose
+  /// `cancel` fires stops waiting and compiles. `*compiled` tells whether
+  /// `compile` ran here; if not, the caller must Adopt the artifact.
+  ChasedScenarioPtr GetOrCompileChased(
+      const std::string& key,
+      const std::function<ChasedScenarioPtr()>& compile,
+      const CancellationToken* cancel, bool* compiled);
 
   // --- Warm-start persistence (ISSUE 4 tentpole) ------------------------
 
@@ -369,6 +383,9 @@ class EngineCache : public CompiledNreCache {
     std::list<std::string> compiled_lru;
     std::unordered_map<std::string, ChasedEntry> chased_memo;
     std::list<std::string> chased_lru;
+    /// Keys GetOrCompileChased is compiling; signaled as each finishes.
+    std::unordered_set<std::string> chases_in_flight;
+    std::condition_variable chase_done;
     CacheStats stats;
     /// This shard's slice of the global caps. SIZE_MAX = unbounded
     /// (the sentinel a global cap of 0 maps to); a literal 0 means the

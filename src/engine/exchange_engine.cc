@@ -103,10 +103,6 @@ ExchangeEngine::ExchangeEngine(EngineOptions options)
     automaton_eval_->set_multi_source_mode(options_.nre_multi_source);
     base_eval_.reset(automaton_eval_);
   }
-  if (options_.enable_cache) {
-    caching_eval_.reset(new CachingNreEvaluator(base_eval_.get(),
-                                                cache_.get()));
-  }
   // 0 resolves to hardware concurrency; the caller thread is worker 0, so
   // the pool only needs the extra ones. All concurrent Solves share it.
   size_t workers = intra_solve_threads();
@@ -323,21 +319,7 @@ ChasedScenarioPtr ExchangeEngine::StageChase(const Scenario& scenario,
                                              PerSolveCacheStats* sink,
                                              const CancellationToken* cancel)
     const {
-  std::string key;
-  if (options_.enable_cache) {
-    GDX_TRACE_SPAN("cache.chase_lookup", "cache");
-    key = ChaseCompiler::Key(scenario.setting, *scenario.instance,
-                             *scenario.universe);
-    if (ChasedScenarioPtr hit = cache_->LookupChased(key)) {
-      // The key pins the universe's base null count, so the artifact's
-      // arena drops in id-for-id; the chase itself is skipped and the
-      // work counters in `m` stay 0 for this solve.
-      ChaseCompiler::Adopt(*hit, *scenario.universe);
-      return hit;
-    }
-  }
-  ChasedScenarioPtr compiled;
-  {
+  auto compile = [&]() -> ChasedScenarioPtr {
     GDX_TRACE_SPAN("chase.compile", "engine");
     ChaseCompileOptions compile_options;
     compile_options.algorithm = options_.chase_policy == ChasePolicy::kNaive
@@ -356,21 +338,36 @@ ChasedScenarioPtr ExchangeEngine::StageChase(const Scenario& scenario,
       GDX_TRACE_SPAN("chase.worker", "chase", worker);
       body();
     };
-    compiled = ChaseCompiler::Compile(scenario.setting, *scenario.instance,
-                                      *scenario.universe, evaluator(),
-                                      compile_options);
+    return ChaseCompiler::Compile(scenario.setting, *scenario.instance,
+                                  *scenario.universe, evaluator(),
+                                  compile_options);
+  };
+  std::string key;
+  if (options_.enable_cache) {
+    GDX_TRACE_SPAN("cache.chase_lookup", "cache");
+    key = ChaseCompiler::Key(scenario.setting, *scenario.instance,
+                             *scenario.universe);
   }
-  m.chase_triggers = compiled->stats.triggers;
-  m.chase_merges = compiled->egd_merges;
-  m.chase_delta_rounds = compiled->delta.delta_rounds;
-  m.chase_skipped_rules = compiled->delta.skipped_rules;
-  m.chase_strata = compiled->delta.strata;
-  // A canceled artifact is truncated mid-chase — never published to the
-  // memo, where it would poison every future solve with the same key.
-  if (options_.enable_cache && !compiled->canceled) {
-    cache_->StoreChased(key, compiled);
+  // Single-flight: concurrent solves of one content run one chase, and a
+  // canceled (truncated) artifact is never published.
+  bool compiled = true;
+  ChasedScenarioPtr chased =
+      options_.enable_cache
+          ? cache_->GetOrCompileChased(key, compile, cancel, &compiled)
+          : compile();
+  if (!compiled) {
+    // The key pins the universe's base null count, so the artifact's
+    // arena drops in id-for-id; the chase itself is skipped and the
+    // work counters in `m` stay 0 for this solve.
+    ChaseCompiler::Adopt(*chased, *scenario.universe);
+    return chased;
   }
-  return compiled;
+  m.chase_triggers = chased->stats.triggers;
+  m.chase_merges = chased->egd_merges;
+  m.chase_delta_rounds = chased->delta.delta_rounds;
+  m.chase_skipped_rules = chased->delta.skipped_rules;
+  m.chase_strata = chased->delta.strata;
+  return chased;
 }
 
 CertainAnswerResult ExchangeEngine::ComputeCertainAnswers(

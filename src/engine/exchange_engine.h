@@ -79,7 +79,7 @@ struct EngineOptions {
   bool minimize_core = false;
   /// Re-check the final solution against the setting (defensive).
   bool verify_witness = true;
-  /// Memoize NRE evaluations and per-solution answer sets.
+  /// Memoize answer sets, compiled automata and chased scenarios.
   bool enable_cache = true;
   /// Size caps of the engine cache (LRU eviction; see EngineCacheOptions).
   EngineCacheOptions cache;
@@ -183,11 +183,11 @@ class ExchangeEngine {
 
   // --- Warm-start persistence (ISSUE 4 tentpole) ------------------------
 
-  /// Restores engine warm state — NRE memo, answer memo, and compiled
-  /// automata — from a snapshot saved by SaveWarmState (or
+  /// Restores engine warm state — answer memo, compiled automata and
+  /// chased scenarios — from a snapshot saved by SaveWarmState (or
   /// EngineCache::SaveSnapshot). A cold process that warm-starts from an
-  /// identical prior run's snapshot skips every NRE evaluation and
-  /// automaton compilation it would otherwise redo. Corruption-safe: a
+  /// identical prior run's snapshot skips every chase, compilation and
+  /// repeated query answering it would otherwise redo. Corruption-safe: a
   /// bad file restores nothing and returns a descriptive error; the
   /// engine then simply runs cold. Call before the first Solve —
   /// restored entries merge under live ones, so later calls still work,
@@ -198,12 +198,9 @@ class ExchangeEngine {
   Status SaveWarmState(const std::string& path) const;
 
   const EngineOptions& options() const { return options_; }
-  /// The evaluator the pipeline runs on (cache-decorated when enabled).
-  const NreEvaluator& evaluator() const {
-    return caching_eval_ != nullptr
-               ? static_cast<const NreEvaluator&>(*caching_eval_)
-               : *base_eval_;
-  }
+  /// The evaluator the pipeline runs on: no relation memo, compiled
+  /// automata from cache().
+  const NreEvaluator& evaluator() const { return *base_eval_; }
   EngineCache& cache() const { return *cache_; }
   /// The intra-solve worker count Solve actually uses (>= 1).
   size_t intra_solve_threads() const;
@@ -243,7 +240,6 @@ class ExchangeEngine {
   /// for the knobs only that engine has (multi-source mode, stats sink).
   AutomatonNreEvaluator* automaton_eval_ = nullptr;
   std::unique_ptr<EngineCache> cache_;
-  std::unique_ptr<CachingNreEvaluator> caching_eval_;
   /// Registry-backed metric handles; null when EngineOptions::stats is
   /// null (recording then costs exactly one pointer check per solve).
   std::unique_ptr<EngineTelemetry> telemetry_;

@@ -37,8 +37,6 @@ void Graph::ReserveFor(size_t num_nodes, size_t num_edges) {
 void Graph::AddNode(Value v) {
   if (node_set_.insert(v.raw()).second) {
     nodes_.push_back(v);
-    content_hash_valid_ = false;
-    raw_signature_valid_ = false;
   }
 }
 
@@ -51,8 +49,6 @@ bool Graph::AddEdge(Value src, SymbolId label, Value dst) {
   successors_[NodeLabelKey{src.raw(), label}].push_back(dst);
   predecessors_[NodeLabelKey{dst.raw(), label}].push_back(src);
   label_index_[label].emplace_back(src, dst);
-  content_hash_valid_ = false;
-  raw_signature_valid_ = false;
   return true;
 }
 
@@ -77,7 +73,6 @@ const std::vector<std::pair<Value, Value>>& Graph::EdgesWithLabel(
 }
 
 std::pair<uint64_t, uint64_t> Graph::ContentHash() const {
-  if (content_hash_valid_) return content_hash_;
   // Sum/xor of well-mixed per-element hashes: insertion-order independent,
   // and node/edge sets are duplicate-free so multiset effects cannot occur.
   uint64_t sum = 0x6a09e667f3bcc908ull + nodes_.size();
@@ -94,13 +89,10 @@ std::pair<uint64_t, uint64_t> Graph::ContentHash() const {
     sum += h;
     xr ^= Mix64(h + 2);
   }
-  content_hash_ = {sum, xr};
-  content_hash_valid_ = true;
-  return content_hash_;
+  return {sum, xr};
 }
 
-const std::string& Graph::RawSignature() const {
-  if (raw_signature_valid_) return raw_signature_;
+std::string Graph::RawSignature() const {
   auto append_u64 = [](std::string& out, uint64_t x) {
     for (int i = 0; i < 8; ++i) {
       out.push_back(static_cast<char>(x & 0xff));
@@ -122,16 +114,15 @@ const std::string& Graph::RawSignature() const {
     parts.push_back(std::move(part));
   }
   std::sort(parts.begin(), parts.end());
-  raw_signature_.clear();
-  raw_signature_.reserve(32 + parts.size() * 25);
+  std::string out;
+  out.reserve(32 + parts.size() * 25);
   auto [sum, xr] = ContentHash();
-  append_u64(raw_signature_, sum);
-  append_u64(raw_signature_, xr);
-  append_u64(raw_signature_, nodes_.size());
-  append_u64(raw_signature_, edges_.size());
-  for (const std::string& part : parts) raw_signature_ += part;
-  raw_signature_valid_ = true;
-  return raw_signature_;
+  append_u64(out, sum);
+  append_u64(out, xr);
+  append_u64(out, nodes_.size());
+  append_u64(out, edges_.size());
+  for (const std::string& part : parts) out += part;
+  return out;
 }
 
 void Graph::Clear() {
@@ -142,8 +133,6 @@ void Graph::Clear() {
   successors_.clear();
   predecessors_.clear();
   label_index_.clear();
-  content_hash_valid_ = false;
-  raw_signature_valid_ = false;
 }
 
 std::string Graph::ToString(const Universe& universe,

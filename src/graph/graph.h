@@ -58,16 +58,16 @@ class Graph {
   /// Order-independent 128-bit hash of the node and edge content (raw value
   /// encodings + label ids; names play no part). Graphs with equal content
   /// hash equal regardless of insertion order or owning universe's
-  /// spellings. Cached; invalidated by mutation.
+  /// spellings. Computed per call (no cache, so concurrent reads are safe).
   std::pair<uint64_t, uint64_t> ContentHash() const;
 
   /// Exact, order-independent binary serialization of the node and edge
   /// content (raw encodings; no names): equal strings <=> identical
   /// node/edge sets. Prefixed with ContentHash so unequal keys compare
-  /// unequal within the first bytes. Cached; invalidated by mutation.
-  /// This is the engine NRE-memo key component — unlike ContentHash alone
-  /// it cannot collide.
-  const std::string& RawSignature() const;
+  /// unequal within the first bytes. Computed on every call (sorts and
+  /// serializes the whole graph). This is the NRE-memo key component —
+  /// unlike ContentHash alone it cannot collide.
+  std::string RawSignature() const;
 
   /// Pre-sizes the node/edge vectors and every rebuilt index for the given
   /// counts — one allocation each instead of growth doubling. Rebuilds
@@ -146,11 +146,6 @@ class Graph {
       predecessors_;
   std::unordered_map<SymbolId, std::vector<std::pair<Value, Value>>>
       label_index_;
-
-  mutable bool content_hash_valid_ = false;
-  mutable std::pair<uint64_t, uint64_t> content_hash_{0, 0};
-  mutable bool raw_signature_valid_ = false;
-  mutable std::string raw_signature_;
 };
 
 }  // namespace gdx

@@ -3,8 +3,9 @@
 // the observable contracts of that refactor — concurrent mixed traffic
 // accounts exactly (hits + misses == lookups, across every shard
 // count), global caps bound the summed shard sizes, per-solve counter
-// attribution still sums exactly under sharding, and solve outputs are
-// byte-identical whatever the shard count. The whole file runs under
+// attribution still sums exactly under sharding, NRE-memo keys of one
+// shared graph are race-free, and solve outputs are byte-identical
+// whatever the shard count. The whole file runs under
 // the CI TSan leg: the per-shard mutexes must make every public method
 // data-race-free.
 #include <gtest/gtest.h>
@@ -15,8 +16,10 @@
 
 #include "engine/cache.h"
 #include "engine/exchange_engine.h"
+#include "common/rng.h"
 #include "graph/nre.h"
 #include "workload/flights.h"
+#include "workload/random_graph.h"
 
 namespace gdx {
 namespace {
@@ -136,6 +139,37 @@ TEST(CacheShardTest, ConcurrentCompileSharesPlans) {
     // Racing first compiles may each count a miss, but the plan count
     // stays one per key and hits dominate after warmup.
     EXPECT_GT(stats.compile_hits, stats.compile_misses);
+  }
+}
+
+/// NreKey only reads the graph: threads keying one shared const Graph at
+/// once must agree on the key without racing (the graph keeps no lazily
+/// filled signature cache for them to write concurrently).
+TEST(CacheShardTest, ConcurrentNreKeysOnOneSharedGraph) {
+  constexpr size_t kThreads = 4;
+  Universe universe;
+  Alphabet alphabet;
+  RandomGraphParams params;
+  params.num_nodes = 48;
+  params.num_edges = 160;
+  params.num_labels = 3;
+  params.seed = 5;
+  const Graph g = MakeRandomGraph(params, universe, alphabet);
+  Rng rng(9);
+  const NrePtr nre = MakeRandomNre(3, params.num_labels, alphabet, rng);
+  std::vector<std::vector<std::string>> keys(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&g, &nre, &keys, t] {
+      for (int round = 0; round < 8; ++round) {
+        keys[t].push_back(EngineCache::NreKey(nre, g));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const std::string expected = EngineCache::NreKey(nre, g);
+  for (const std::vector<std::string>& per_thread : keys) {
+    for (const std::string& key : per_thread) EXPECT_EQ(key, expected);
   }
 }
 

@@ -3,14 +3,18 @@
 // same base, and replay at a shifted base), engine outcomes must be
 // byte-identical whether the chased memo serves a solve or the chase runs
 // fresh — at 1, 2 and 8 intra-solve workers — the chased memo must respect
-// its LRU cap, the CHSE snapshot section must round-trip artifacts and
-// reject every corruption, and Universe copies must share one
-// copy-on-write ConstantTable instead of deep-copying constant spellings.
+// its LRU cap and run one chase for concurrent misses on one key, the CHSE
+// snapshot section must round-trip artifacts and reject every corruption,
+// and Universe copies must share one copy-on-write ConstantTable instead
+// of deep-copying constant spellings.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "chase/chase_compiler.h"
@@ -342,6 +346,107 @@ TEST(ChasedMemoTest, EngineHonorsChasedCapAndStaysCorrect) {
   }
   EXPECT_LE(capped.cache().sizes().chased_entries, 2u);
   EXPECT_GT(capped.cache().stats().chase_evictions, 0u);
+}
+
+// --- Single-flight chased memo ---------------------------------------------
+
+/// Concurrent solves of one uncached content run one chase: the first
+/// counts the only miss, every other solve adopts its artifact as a hit,
+/// and all of them render the same outcome.
+TEST(ChasedMemoTest, ConcurrentMissesRunOneChase) {
+  constexpr size_t kThreads = 6;
+  ExchangeEngine engine(TestEngineOptions());
+  FlightWorkloadParams params;
+  params.seed = 31;
+  params.num_cities = 6;
+  params.num_flights = 40;
+  params.num_hotels = 6;
+  params.mode = FlightConstraintMode::kEgd;
+  std::vector<Scenario> scenarios;
+  for (size_t t = 0; t < kThreads; ++t) {
+    scenarios.push_back(MakeFlightScenario(params));
+  }
+  std::vector<std::string> out(kThreads);
+  std::atomic<size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      Result<ExchangeOutcome> outcome = engine.Solve(scenarios[t]);
+      ASSERT_TRUE(outcome.ok());
+      out[t] = outcome->ToString(*scenarios[t].universe,
+                                 *scenarios[t].alphabet);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  CacheStats stats = engine.cache().stats();
+  EXPECT_EQ(stats.chase_misses, 1u);
+  EXPECT_EQ(stats.chase_hits, kThreads - 1);
+  for (size_t t = 1; t < kThreads; ++t) EXPECT_EQ(out[t], out[0]);
+}
+
+/// A canceled chase publishes nothing: a waiter whose own token fired
+/// stops waiting and compiles at once, and a waiter of a canceled leader
+/// compiles after it (never alongside it) and publishes its artifact.
+TEST(ChasedMemoTest, CanceledLeaderPublishesNothing) {
+  EngineCache cache;
+  std::atomic<bool> leading{false};
+  std::atomic<bool> release{false};
+  auto artifact = [](bool canceled) {
+    auto chased = std::make_shared<ChasedScenario>();
+    chased->canceled = canceled;
+    return ChasedScenarioPtr(chased);
+  };
+  std::thread leader([&] {
+    bool compiled = false;
+    ChasedScenarioPtr got = cache.GetOrCompileChased(
+        "key",
+        [&] {
+          leading = true;
+          while (!release) std::this_thread::yield();
+          return artifact(/*canceled=*/true);
+        },
+        nullptr, &compiled);
+    EXPECT_TRUE(compiled);
+    EXPECT_TRUE(got->canceled);
+  });
+  while (!leading) std::this_thread::yield();
+
+  CancellationToken tripped;
+  tripped.RequestStop();
+  bool compiled = false;
+  ChasedScenarioPtr got = cache.GetOrCompileChased(
+      "key", [&] { return artifact(/*canceled=*/true); }, &tripped,
+      &compiled);
+  EXPECT_TRUE(compiled) << "a canceled waiter compiles without waiting";
+  EXPECT_FALSE(release.load());
+
+  std::thread waiter([&] {
+    bool waiter_compiled = false;
+    ChasedScenarioPtr mine = cache.GetOrCompileChased(
+        "key",
+        [&] {
+          EXPECT_TRUE(release.load()) << "ran while the leader was in flight";
+          return artifact(/*canceled=*/false);
+        },
+        nullptr, &waiter_compiled);
+    EXPECT_TRUE(waiter_compiled) << "the canceled leader published nothing";
+    EXPECT_FALSE(mine->canceled);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  release = true;
+  leader.join();
+  waiter.join();
+
+  ChasedScenarioPtr hit = cache.GetOrCompileChased(
+      "key", [&] { return artifact(false); }, nullptr, &compiled);
+  EXPECT_FALSE(compiled) << "the waiter's artifact was published";
+  EXPECT_FALSE(hit->canceled);
+  CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.chase_misses, 3u);
+  EXPECT_EQ(stats.chase_hits, 1u);
+  EXPECT_EQ(cache.sizes().chased_entries, 1u);
 }
 
 // --- CHSE persistence -------------------------------------------------------

@@ -190,7 +190,7 @@ TEST(SnapshotCodecTest, CacheRoundTripIsByteStable) {
   ExchangeEngine engine(TestEngineOptions());
   std::vector<Scenario> scenarios = MakeScenarios();
   SolveAllToStrings(engine, scenarios);
-  ASSERT_GT(engine.cache().sizes().nre_entries, 0u);
+  ASSERT_GT(engine.cache().sizes().answer_keys, 0u);
   ASSERT_GT(engine.cache().sizes().compiled_entries, 0u);
 
   std::string path1 = TempPath("roundtrip1.gdxsnap");
@@ -201,7 +201,7 @@ TEST(SnapshotCodecTest, CacheRoundTripIsByteStable) {
   SnapshotRestoreStats stats;
   Status loaded = restored.LoadSnapshot(path1, &stats);
   ASSERT_TRUE(loaded.ok()) << loaded.ToString();
-  EXPECT_EQ(stats.nre_entries, engine.cache().sizes().nre_entries);
+  EXPECT_EQ(stats.answer_entries, engine.cache().sizes().answer_entries);
   EXPECT_EQ(stats.answer_keys, engine.cache().sizes().answer_keys);
   EXPECT_EQ(stats.compiled_entries, engine.cache().sizes().compiled_entries);
   EXPECT_EQ(stats.chased_entries, engine.cache().sizes().chased_entries);
@@ -230,7 +230,7 @@ TEST(WarmStartTest, WarmEngineIsByteIdenticalAndMissFree) {
   ExchangeEngine warm(TestEngineOptions());
   Result<SnapshotRestoreStats> restored = warm.WarmStart(path);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(restored->nre_entries, cold.cache().sizes().nre_entries);
+  EXPECT_EQ(restored->answer_keys, cold.cache().sizes().answer_keys);
   EXPECT_EQ(restored->compiled_entries,
             cold.cache().sizes().compiled_entries);
 
@@ -239,17 +239,18 @@ TEST(WarmStartTest, WarmEngineIsByteIdenticalAndMissFree) {
   std::vector<std::string> warm_out =
       SolveAllToStrings(warm, warm_scenarios, &warm_total);
 
-  // Byte-identical outputs, zero NRE/compile misses (the acceptance
-  // criterion), and the restored-entry hit counters account for it.
+  // Byte-identical outputs, zero answer/compile/chase misses (the
+  // acceptance criterion), and the restored-entry hit counters account
+  // for it.
   ASSERT_EQ(warm_out.size(), cold_out.size());
   for (size_t i = 0; i < cold_out.size(); ++i) {
     EXPECT_EQ(warm_out[i], cold_out[i]) << "scenario " << i;
   }
   CacheStats warm_stats = warm.cache().stats();
-  EXPECT_EQ(warm_stats.nre_misses, 0u);
+  EXPECT_EQ(warm_stats.answer_misses, 0u);
   EXPECT_EQ(warm_stats.compile_misses, 0u);
   EXPECT_EQ(warm_stats.chase_misses, 0u);
-  EXPECT_GT(warm_stats.nre_restored_hits, 0u);
+  EXPECT_GT(warm_stats.answer_restored_hits, 0u);
   // The warm chase stage is served entirely by restored §5 artifacts
   // (ISSUE 5): zero chase work, every chase hit a restored one.
   EXPECT_GT(warm_stats.chase_restored_hits, 0u);
@@ -257,13 +258,14 @@ TEST(WarmStartTest, WarmEngineIsByteIdenticalAndMissFree) {
   EXPECT_EQ(warm_total.chase_triggers, 0u);
   EXPECT_EQ(warm_total.chase_cache_restored_hits,
             warm_stats.chase_restored_hits);
-  // Restored relations short-circuit most evaluations before the
-  // automaton layer; whatever compile traffic remains must be served
-  // entirely by restored plans (the differential suite below proves the
-  // plans themselves behave identically to fresh compiles).
+  // Every NRE evaluation of the warm run compiles through the memo, and
+  // all of that traffic must be served by restored plans (the
+  // differential suite below proves the plans themselves behave
+  // identically to fresh compiles).
   EXPECT_EQ(warm_stats.compile_hits, warm_stats.compile_restored_hits);
   // Restored hits flow through per-solve attribution into Metrics.
-  EXPECT_EQ(warm_total.nre_cache_restored_hits, warm_stats.nre_restored_hits);
+  EXPECT_EQ(warm_total.answer_cache_restored_hits,
+            warm_stats.answer_restored_hits);
   EXPECT_EQ(warm_total.compile_cache_restored_hits,
             warm_stats.compile_restored_hits);
   EXPECT_EQ(warm_total.compile_cache_misses, 0u);
@@ -288,7 +290,7 @@ TEST(WarmStartTest, BatchExecutorHooksAndReportCounters) {
   std::vector<Scenario> scenarios2 = MakeScenarios();
   BatchReport warm_report = second.SolveAll(scenarios2);
   EXPECT_EQ(warm_report.errors, 0u);
-  EXPECT_EQ(warm_report.total.nre_cache_misses, 0u);
+  EXPECT_EQ(warm_report.total.answer_cache_misses, 0u);
   EXPECT_EQ(warm_report.total.compile_cache_misses, 0u);
   EXPECT_GT(warm_report.total.cache_restored_hits(), 0u);
   // The Summary surfaces the warm line for CLI users.
