@@ -173,10 +173,14 @@ void BM_IsCertainReduction(benchmark::State& state) {
   if (satisfiable) {
     rho = PlantedKSat(n, 3 * n, 3, rng);
   } else {
+    // Binary clauses pin the contradiction: a unit clause would let the
+    // search's singleton nogoods skip the candidate space.
     rho = RandomKSat(n > 3 ? n - 1 : 2, 2 * n, 3, rng);
     rho.set_num_vars(n);
-    rho.AddClause({n});
-    rho.AddClause({-n});
+    rho.AddClause({n - 1, n});
+    rho.AddClause({n - 1, -n});
+    rho.AddClause({-(n - 1), n});
+    rho.AddClause({-(n - 1), -n});
   }
   Universe universe;
   Result<SatEncodedExchange> enc =

@@ -58,10 +58,15 @@ CnfFormula MakeFormula(int n, bool satisfiable, uint64_t seed) {
   Rng rng(seed);
   if (satisfiable) return PlantedKSat(n, static_cast<int>(n * 4.26), 3, rng);
   CnfFormula f = RandomKSat(n - 1 > 2 ? n - 1 : 2, 2 * n, 3, rng);
-  // Pin variable n to both polarities: guaranteed unsatisfiable.
+  // All four binary clauses over variables n-1 and n: guaranteed
+  // unsatisfiable. Unit clauses would be too, but each makes one witness
+  // fail on its own, and the search's singleton nogoods would then decide
+  // the whole space without instantiating a candidate.
   f.set_num_vars(n);
-  f.AddClause({n});
-  f.AddClause({-n});
+  f.AddClause({n - 1, n});
+  f.AddClause({n - 1, -n});
+  f.AddClause({-(n - 1), n});
+  f.AddClause({-(n - 1), -n});
   return f;
 }
 

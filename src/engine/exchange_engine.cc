@@ -236,6 +236,7 @@ Result<ExchangeOutcome> ExchangeEngine::Solve(
                         *scenario.universe, chased.get());
     }
     m.candidates_tried = out.existence.candidates_tried;
+    m.candidates_pruned = out.existence.candidates_pruned;
 
     // Stage 3 — materialize (and optionally core-minimize) the solution.
     // A witness that exists is complete (Decide only emits verified

@@ -26,7 +26,9 @@ struct Metrics {
   // Chase / search work.
   size_t chase_triggers = 0;   // s-t tgd body matches fired
   size_t chase_merges = 0;     // adapted egd chase node merges
-  size_t candidates_tried = 0; // instantiations attempted by the search
+  size_t candidates_tried = 0; // witness-choice ranks decided, whether
+                               // instantiated or pruned
+  size_t candidates_pruned = 0;  // of those, ranks singleton nogoods pruned
   size_t solutions_enumerated = 0;
 
   // Delta chase work (ISSUE 9): rounds that joined rules, (rule, round)
@@ -76,6 +78,7 @@ struct Metrics {
     chase_triggers += other.chase_triggers;
     chase_merges += other.chase_merges;
     candidates_tried += other.candidates_tried;
+    candidates_pruned += other.candidates_pruned;
     solutions_enumerated += other.solutions_enumerated;
     chase_delta_rounds += other.chase_delta_rounds;
     chase_skipped_rules += other.chase_skipped_rules;
@@ -124,9 +127,9 @@ struct Metrics {
                minimize_seconds * 1e3, verify_seconds * 1e3);
     StrAppendF(&out,
                "  work: triggers=%zu merges=%zu candidates=%zu "
-               "solutions=%zu\n",
+               "solutions=%zu pruned=%zu\n",
                chase_triggers, chase_merges, candidates_tried,
-               solutions_enumerated);
+               solutions_enumerated, candidates_pruned);
     StrAppendF(&out,
                "  delta-chase: rounds=%zu skipped-rules=%zu strata=%zu\n",
                chase_delta_rounds, chase_skipped_rules, chase_strata);

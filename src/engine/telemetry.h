@@ -50,6 +50,8 @@ class EngineTelemetry : public EgdRepairStatsSink, public NreEvalStatsSink {
             registry->GetCounter("engine.chase.skipped_rules")),
         chase_strata_(registry->GetCounter("engine.chase.strata")),
         candidates_(registry->GetCounter("engine.work.candidates_tried")),
+        candidates_pruned_(
+            registry->GetCounter("engine.work.candidates_pruned")),
         solutions_(
             registry->GetCounter("engine.work.solutions_enumerated")),
         nre_hits_(registry->GetCounter("engine.cache.nre.hits")),
@@ -105,6 +107,7 @@ class EngineTelemetry : public EgdRepairStatsSink, public NreEvalStatsSink {
     chase_skipped_rules_->Add(m.chase_skipped_rules);
     chase_strata_->Add(m.chase_strata);
     candidates_->Add(m.candidates_tried);
+    candidates_pruned_->Add(m.candidates_pruned);
     solutions_->Add(m.solutions_enumerated);
     nre_hits_->Add(m.nre_cache_hits);
     nre_misses_->Add(m.nre_cache_misses);
@@ -147,6 +150,7 @@ class EngineTelemetry : public EgdRepairStatsSink, public NreEvalStatsSink {
   obs::Counter* chase_skipped_rules_;
   obs::Counter* chase_strata_;
   obs::Counter* candidates_;
+  obs::Counter* candidates_pruned_;
   obs::Counter* solutions_;
   obs::Counter* nre_hits_;
   obs::Counter* nre_misses_;

@@ -218,16 +218,6 @@ size_t PatternInstantiator::NumCombinations() const {
   return total;
 }
 
-std::vector<size_t> PatternInstantiator::DecodeRank(size_t rank) const {
-  std::vector<size_t> choices(witness_lists_.size(), 0);
-  for (size_t i = 0; i < witness_lists_.size() && rank > 0; ++i) {
-    size_t radix = witness_lists_[i].size();
-    choices[i] = rank % radix;
-    rank /= radix;
-  }
-  return choices;
-}
-
 Result<Graph> PatternInstantiator::Instantiate(
     const std::vector<size_t>& choices, Universe& universe) const {
   if (choices.size() != witness_lists_.size()) {

@@ -81,12 +81,6 @@ class PatternInstantiator {
   /// Number of distinct choice combinations (capped at SIZE_MAX).
   size_t NumCombinations() const;
 
-  /// Decodes a mixed-radix rank into a choice vector: rank r maps to the
-  /// r-th combination in odometer order (edge 0 is the least-significant
-  /// digit — the order NextChoice-style sequential scans advance in).
-  /// Precondition: rank < NumCombinations().
-  std::vector<size_t> DecodeRank(size_t rank) const;
-
   /// Materializes the graph for one choice vector (choices[i] indexes
   /// witness_lists()[i]) drawing fresh nulls from `universe`. All pattern
   /// nodes are included. Fails if a chosen ε-chain connects two distinct

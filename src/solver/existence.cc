@@ -1,6 +1,7 @@
 #include "solver/existence.h"
 
 #include "chase/egd_chase.h"
+#include "chase/reliance.h"
 #include "chase/sameas_completion.h"
 #include "chase/target_tgd_chase.h"
 #include "exchange/solution_check.h"
@@ -55,6 +56,181 @@ StagePattern BuildStagePattern(const ChasedScenario* chased,
   out.failure_reason = chased->failure_reason;
   out.canceled = chased->canceled;
   return out;
+}
+
+constexpr char kCancelledNote[] = "search cancelled";
+
+size_t SaturatingMul(size_t a, size_t b) {
+  if (a == 0 || b == 0) return 0;
+  return a > SIZE_MAX / b ? SIZE_MAX : a * b;
+}
+
+/// True if materializing `w` adds an edge labelled by one of `symbols`
+/// (sorted), on its main chain or in a nesting branch.
+bool SpellsAny(const Witness& w, const std::vector<SymbolId>& symbols) {
+  auto any_branch = [&](const std::vector<Witness>& branches) {
+    for (const Witness& b : branches) {
+      if (SpellsAny(b, symbols)) return true;
+    }
+    return false;
+  };
+  for (const Witness::Step& step : w.steps) {
+    if (std::binary_search(symbols.begin(), symbols.end(), step.symbol) ||
+        any_branch(step.branches_before)) {
+      return true;
+    }
+  }
+  return any_branch(w.trailing_branches);
+}
+
+/// The witness-choice space the search walks once the singleton nogoods
+/// are out: per pattern edge, the kept witness indices in ascending
+/// order. A filtered rank decodes over the kept lists' sizes (edge 0 the
+/// least significant digit) and maps each digit to its kept index, so
+/// filtered ranks enumerate the surviving full ranks in increasing order.
+/// The first filtered hit is therefore the unpruned scan's first hit, and
+/// a budget of N full ranks is the filtered prefix [0, CountBelow(N)).
+class PrunedSpace {
+ public:
+  PrunedSpace(const PatternInstantiator& instantiator,
+              std::vector<std::vector<size_t>> kept)
+      : lists_(instantiator.witness_lists()), kept_(std::move(kept)) {
+    for (size_t i = 0; i < kept_.size(); ++i) {
+      pruned_ = pruned_ || kept_[i].size() != lists_[i].size();
+    }
+  }
+
+  /// The full choice vector (indices into witness_lists()) of a filtered
+  /// rank. Precondition: every kept list is non-empty, and rank is below
+  /// the product of their sizes.
+  std::vector<size_t> Choices(size_t rank) const {
+    std::vector<size_t> choices(kept_.size(), 0);
+    for (size_t i = 0; i < kept_.size(); ++i) {
+      choices[i] = kept_[i][rank % kept_[i].size()];
+      rank /= kept_[i].size();
+    }
+    return choices;
+  }
+
+  /// The full mixed-radix rank of a choice vector. A digit's weight may
+  /// exceed SIZE_MAX (the full space then saturates, as NumCombinations
+  /// does); only a nonzero digit at such a weight saturates the rank.
+  size_t FullRank(const std::vector<size_t>& choices) const {
+    size_t rank = 0;
+    size_t weight = 1;
+    for (size_t i = 0; i < choices.size(); ++i) {
+      if (choices[i] != 0) {
+        const size_t term = SaturatingMul(choices[i], weight);
+        rank = term > SIZE_MAX - rank ? SIZE_MAX : rank + term;
+      }
+      weight = SaturatingMul(weight, lists_[i].size());
+    }
+    return rank;
+  }
+
+  /// How many surviving full ranks lie below `full_ranks`: the first
+  /// filtered rank whose full rank reaches it, found by bisection because
+  /// FullRank(Choices(rank)) increases with rank.
+  size_t CountBelow(size_t full_ranks) const {
+    if (!pruned_) return full_ranks;
+    size_t lo = 0;
+    size_t hi = 1;  // the filtered space's size, saturating
+    for (const std::vector<size_t>& kept : kept_) {
+      hi = SaturatingMul(hi, kept.size());
+    }
+    while (lo < hi) {
+      const size_t mid = lo + (hi - lo) / 2;
+      if (FullRank(Choices(mid)) < full_ranks) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  }
+
+ private:
+  const std::vector<std::vector<Witness>>& lists_;
+  std::vector<std::vector<size_t>> kept_;
+  bool pruned_ = false;  // some witness was rejected
+};
+
+/// Singleton nogoods: per pattern edge, the ascending indices of the
+/// witnesses that no test of that witness alone rules out. Runs on the
+/// calling thread; draws test nulls from `universe` and rolls them back.
+std::vector<std::vector<size_t>> KeptWitnesses(
+    const GraphPattern& pattern, const PatternInstantiator& instantiator,
+    const std::vector<TargetEgd>& egds, const NreEvaluator& eval,
+    const ExistenceOptions& options, Universe& universe) {
+  const auto& lists = instantiator.witness_lists();
+  const auto& edges = pattern.edges();
+  // An ε-chain between distinct nodes cannot be materialized at all.
+  std::vector<std::vector<size_t>> kept(lists.size());
+  bool empty_list = false;
+  for (size_t i = 0; i < lists.size(); ++i) {
+    for (size_t j = 0; j < lists[i].size(); ++j) {
+      if (!lists[i][j].IsEpsilonChain() || edges[i].src == edges[i].dst) {
+        kept[i].push_back(j);
+      }
+    }
+    empty_list = empty_list || kept[i].empty();
+  }
+  if (egds.empty() || empty_list) return kept;
+
+  // Egd test: the pattern's nodes, the sole witness of every edge that has
+  // one, and the tested witness. Every candidate that uses the witness
+  // contains this graph up to a renaming of its fresh nulls, and egd
+  // bodies are positive NREs, so their matches survive into the candidate:
+  // when the chase fails here, RepairAndVerify's chase fails there too.
+  // A witness that spells no egd-body symbol is not tested; skipping a
+  // test only prunes less.
+  std::vector<SymbolId> egd_symbols;
+  for (const TargetEgd& egd : egds) {
+    for (const CnreAtom& atom : egd.body.atoms()) {
+      CollectNreSymbols(*atom.nre, &egd_symbols);
+    }
+  }
+  std::sort(egd_symbols.begin(), egd_symbols.end());
+  egd_symbols.erase(std::unique(egd_symbols.begin(), egd_symbols.end()),
+                    egd_symbols.end());
+  EgdChaseOptions chase_options;
+  chase_options.policy = options.egd_policy;
+  chase_options.cancel = options.cancel;
+
+  const size_t mark = universe.NullMark();
+  std::optional<Graph> base;  // built for the first tested witness
+  std::vector<std::vector<size_t>> tested = kept;
+  for (size_t i = 0; i < lists.size(); ++i) {
+    if (options.cancel != nullptr && options.cancel->stop_requested()) break;
+    if (kept[i].size() < 2) continue;
+    std::vector<size_t>& survivors = tested[i];
+    survivors.clear();
+    for (size_t j : kept[i]) {
+      const Witness& w = lists[i][j];
+      if (!SpellsAny(w, egd_symbols)) {
+        survivors.push_back(j);
+        continue;
+      }
+      if (!base.has_value()) {
+        base.emplace();
+        for (Value v : pattern.nodes()) base->AddNode(v);
+        for (size_t k = 0; k < lists.size(); ++k) {
+          if (kept[k].size() != 1) continue;
+          (void)MaterializeWitness(*base, universe, edges[k].src,
+                                   edges[k].dst, lists[k][kept[k][0]]);
+        }
+      }
+      const size_t base_mark = universe.NullMark();
+      Graph test = *base;
+      (void)MaterializeWitness(test, universe, edges[i].src, edges[i].dst, w);
+      if (!ChaseGraphEgds(test, egds, eval, chase_options).failed) {
+        survivors.push_back(j);
+      }
+      universe.RollbackNulls(base_mark);
+    }
+  }
+  universe.RollbackNulls(mark);
+  return tested;
 }
 
 }  // namespace
@@ -141,7 +317,7 @@ ExistenceReport ExistenceSolver::DecideChaseRefute(
                                          *eval_, options_.cancel);
   if (stage.canceled || Cancelled()) {
     report.verdict = ExistenceVerdict::kUnknown;
-    report.note = "search cancelled";
+    report.note = kCancelledNote;
     return report;
   }
   if (stage.failed) {
@@ -167,7 +343,7 @@ ExistenceReport ExistenceSolver::DecideChaseRefute(
   }
   if (Cancelled()) {
     report.verdict = ExistenceVerdict::kUnknown;
-    report.note = "search cancelled";
+    report.note = kCancelledNote;
     return report;
   }
   report.verdict = ExistenceVerdict::kUnknown;
@@ -185,7 +361,7 @@ ExistenceReport ExistenceSolver::DecideBoundedSearch(
                                          *eval_, options_.cancel);
   if (stage.canceled || Cancelled()) {
     report.verdict = ExistenceVerdict::kUnknown;
-    report.note = "search cancelled";
+    report.note = kCancelledNote;
     return report;
   }
   if (stage.failed) {
@@ -196,29 +372,34 @@ ExistenceReport ExistenceSolver::DecideBoundedSearch(
   }
   GraphPattern& pattern = stage.pattern;
   PatternInstantiator instantiator(&pattern, options_.instantiation);
-  const auto& lists = instantiator.witness_lists();
-  for (const auto& list : lists) {
-    if (list.empty()) {
-      report.verdict = ExistenceVerdict::kNo;
-      report.note = "a pattern edge has no witness within budget";
-      return report;
-    }
+  const size_t total_combinations = instantiator.NumCombinations();
+  if (total_combinations == 0) {
+    // No NRE denotes the empty language: an edge without a witness only
+    // means the witness budget is too small to realize it.
+    report.verdict = ExistenceVerdict::kUnknown;
+    report.budget_exhausted = true;
+    report.note = "a pattern edge has no witness within budget";
+    return report;
   }
 
-  // The odometer, flattened to ranks and fanned over the pool (ISSUE 2
-  // tentpole). Every worker owns a private universe copy and rolls each
-  // candidate's fresh-null draws back to `mark`, so a candidate's nulls
-  // depend only on its rank — the winning witness is byte-identical for
-  // any worker count, and FindFirst guarantees it is the *minimal*-rank
-  // hit, exactly the sequential first hit. The sequential configuration
-  // (one worker) skips the copies and works on the shared universe with
-  // the same rollback discipline.
-  const size_t total_combinations = instantiator.NumCombinations();
+  // The odometer, flattened to ranks and fanned over the pool, over the
+  // witness choices the singleton nogoods keep. Every worker owns a
+  // private universe copy and rolls each candidate's fresh-null draws back
+  // to `mark`, so a candidate's nulls depend only on its rank — the
+  // winning witness is byte-identical for any worker count, and FindFirst
+  // guarantees it is the *minimal*-rank hit, exactly the sequential first
+  // hit. The sequential configuration (one worker) skips the copies and
+  // works on the shared universe with the same rollback discipline. The
+  // budget and candidates_tried count full ranks.
   const size_t num_ranks =
       std::min(total_combinations, options_.max_candidates);
+  const PrunedSpace space(
+      instantiator, KeptWitnesses(pattern, instantiator, setting.egds,
+                                  *eval_, options_, universe));
+  const size_t viable_ranks = space.CountBelow(num_ranks);
   ParallelSearch search(
       SearchOptions(options_.parallel_chunk, options_.parallel_min_ranks));
-  const size_t workers = search.NumWorkers(num_ranks);
+  const size_t workers = search.NumWorkers(viable_ranks);
   const size_t mark = universe.NullMark();
   std::vector<Universe> scratch(workers > 1 ? workers : 0, universe);
   auto worker_universe = [&](size_t worker) -> Universe& {
@@ -236,9 +417,8 @@ ExistenceReport ExistenceSolver::DecideBoundedSearch(
     Universe& u = worker_universe(worker);
     u.RollbackNulls(mark);
     Result<Graph> candidate =
-        instantiator.Instantiate(instantiator.DecodeRank(rank), u);
-    if (!candidate.ok()) return false;  // invalid combination (ε between
-                                        // distinct nodes)
+        instantiator.Instantiate(space.Choices(rank), u);
+    if (!candidate.ok()) return false;
     std::optional<Graph> solution =
         RepairAndVerify(std::move(candidate).value(), setting, source, u);
     if (!solution.has_value()) return false;
@@ -250,14 +430,14 @@ ExistenceReport ExistenceSolver::DecideBoundedSearch(
     }
     return true;
   };
-  size_t winner = search.FindFirst(num_ranks, visit);
+  size_t winner = search.FindFirst(viable_ranks, visit);
   // In the one-worker configuration the shared universe still carries the
   // last tried candidate's nulls; drop them before adopting the winner's.
   universe.RollbackNulls(mark);
 
   if (Cancelled()) {
     report.verdict = ExistenceVerdict::kUnknown;
-    report.note = "search cancelled";
+    report.note = kCancelledNote;
     return report;
   }
   if (winner != ParallelSearch::kNotFound) {
@@ -265,13 +445,16 @@ ExistenceReport ExistenceSolver::DecideBoundedSearch(
     // `mark`, exactly where the winning worker's universe sat when the
     // candidate was instantiated, so the ids line up.
     universe.AppendNullLabels(best.nulls);
-    report.candidates_tried = winner + 1;
+    const size_t full_rank = space.FullRank(space.Choices(winner));
+    report.candidates_tried = full_rank + 1;
+    report.candidates_pruned = full_rank - winner;
     report.verdict = ExistenceVerdict::kYes;
     report.witness = std::move(best.witness);
     report.note = "bounded search found a verified solution";
     return report;
   }
   report.candidates_tried = num_ranks;
+  report.candidates_pruned = num_ranks - viable_ranks;
   if (total_combinations > num_ranks) {
     report.budget_exhausted = true;
     report.verdict = ExistenceVerdict::kUnknown;
@@ -287,13 +470,16 @@ ExistenceReport ExistenceSolver::DecideBoundedSearch(
 
 ExistenceReport ExistenceSolver::DecideSatBacked(
     const Setting& setting, const Instance& source, Universe& universe,
-    const ChasedScenario* chased) const {
+    const ChasedScenario* chased, bool* searched) const {
   ExistenceReport report;
   Result<FlatEncoding> encoding = EncodeFlatSetting(setting, source);
   if (!encoding.ok()) {
+    if (searched != nullptr) *searched = true;
     report = DecideBoundedSearch(setting, source, universe, chased);
-    report.note = "not flat (" + encoding.status().message() +
-                  "); fell back to bounded search. " + report.note;
+    if (report.note != kCancelledNote) {
+      report.note = "not flat (" + encoding.status().message() +
+                    "); fell back to bounded search. " + report.note;
+    }
     return report;
   }
   const CnfFormula& cnf = encoding->cnf;
@@ -376,7 +562,7 @@ ExistenceReport ExistenceSolver::DecideSatBacked(
 
   if (Cancelled()) {
     report.verdict = ExistenceVerdict::kUnknown;
-    report.note = "search cancelled";
+    report.note = kCancelledNote;
     return report;
   }
   if (!sat.satisfiable) {
@@ -420,7 +606,7 @@ ExistenceReport ExistenceSolver::Decide(const Setting& setting,
     case ExistenceStrategy::kBoundedSearch:
       return DecideBoundedSearch(setting, source, universe, chased);
     case ExistenceStrategy::kSatBacked:
-      return DecideSatBacked(setting, source, universe, chased);
+      return DecideSatBacked(setting, source, universe, chased, nullptr);
     case ExistenceStrategy::kAuto:
       break;
   }
@@ -435,9 +621,14 @@ ExistenceReport ExistenceSolver::Decide(const Setting& setting,
     return DecideBoundedSearch(setting, source, universe, chased);
   }
   if (setting.target_tgds.empty() && setting.sameas.empty()) {
+    // Outside the flat fragment DecideSatBacked has already run the
+    // bounded search; only an undecided SAT route falls back to it.
+    bool searched = false;
     ExistenceReport report =
-        DecideSatBacked(setting, source, universe, chased);
-    if (report.verdict != ExistenceVerdict::kUnknown) return report;
+        DecideSatBacked(setting, source, universe, chased, &searched);
+    if (searched || report.verdict != ExistenceVerdict::kUnknown) {
+      return report;
+    }
   }
   return DecideBoundedSearch(setting, source, universe, chased);
 }
@@ -458,23 +649,25 @@ std::vector<Graph> ExistenceSolver::EnumerateSolutions(
   if (stage.failed) return kept;  // no solutions at all
   GraphPattern& pattern = stage.pattern;
   PatternInstantiator instantiator(&pattern, options_.instantiation);
-  const auto& lists = instantiator.witness_lists();
-  for (const auto& list : lists) {
-    if (list.empty()) return kept;
-  }
+  const size_t total_combinations = instantiator.NumCombinations();
+  if (total_combinations == 0) return kept;
 
   // Order-stable parallel enumeration (ISSUE 2 tentpole): workers verify
   // candidates in arbitrary order and record hits by rank; the dedup +
   // max_solutions cap runs in ScanAll's serialized contiguous-prefix
   // callback, strictly in rank order — so the kept set equals the
   // sequential scan's for any worker count. Once the cap is reached the
-  // returned ceiling abandons all higher ranks (early exit).
-  const size_t total_combinations = instantiator.NumCombinations();
+  // returned ceiling abandons all higher ranks (early exit). Ranks are
+  // those of the singleton-pruned space, as in DecideBoundedSearch.
   const size_t num_ranks =
       std::min(total_combinations, options_.max_candidates);
+  const PrunedSpace space(
+      instantiator, KeptWitnesses(pattern, instantiator, setting.egds,
+                                  *eval_, options_, universe));
+  const size_t viable_ranks = space.CountBelow(num_ranks);
   ParallelSearch search(
       SearchOptions(options_.parallel_chunk, options_.parallel_min_ranks));
-  const size_t workers = search.NumWorkers(num_ranks);
+  const size_t workers = search.NumWorkers(viable_ranks);
   const size_t mark = universe.NullMark();
   std::vector<Universe> scratch(workers > 1 ? workers : 0, universe);
   auto worker_universe = [&](size_t worker) -> Universe& {
@@ -494,7 +687,7 @@ std::vector<Graph> ExistenceSolver::EnumerateSolutions(
     Universe& u = worker_universe(worker);
     u.RollbackNulls(mark);
     Result<Graph> candidate =
-        instantiator.Instantiate(instantiator.DecodeRank(rank), u);
+        instantiator.Instantiate(space.Choices(rank), u);
     if (!candidate.ok()) return;
     std::optional<Graph> solution =
         RepairAndVerify(std::move(candidate).value(), setting, source, u);
@@ -535,7 +728,7 @@ std::vector<Graph> ExistenceSolver::EnumerateSolutions(
     merged = std::max(merged, prefix_ranks);
     return ParallelSearch::kNotFound;
   };
-  search.ScanAll(num_ranks, visit, on_prefix);
+  search.ScanAll(viable_ranks, visit, on_prefix);
   // Enumerated solutions keep their nulls search-local by contract; in
   // the one-worker configuration the shared universe did the scanning.
   universe.RollbackNulls(mark);

@@ -24,8 +24,9 @@ enum class ExistenceStrategy {
   /// canonical instantiation — may return kUnknown.
   kChaseRefute,
   /// Complete enumeration over witness-choice combinations of the chased
-  /// pattern (+ graph-level egd repair). Exponential — this is the search
-  /// space whose size Theorem 4.1's NP-hardness speaks to.
+  /// pattern (+ graph-level egd repair), skipping every combination that
+  /// uses a witness the egds reject on its own. Exponential — this is the
+  /// search space whose size Theorem 4.1's NP-hardness speaks to.
   kBoundedSearch,
   /// Exact CNF encoding of the flat fragment solved by DPLL (fast path;
   /// INVALID_ARGUMENT-fallback to bounded search outside the fragment).
@@ -44,10 +45,16 @@ struct ExistenceReport {
   std::optional<Graph> witness;
   std::string note;
 
+  /// Bounded search: witness-choice ranks decided, whether instantiated or
+  /// pruned — the winner's rank + 1, or min(combinations, max_candidates)
+  /// on exhaustion. SAT route: DPLL decisions + 1.
   size_t candidates_tried = 0;
-  /// True if the bounded search exhausted its candidate budget without
-  /// covering the whole combination space (verdict is then kUnknown, not
-  /// kNo).
+  /// The part of candidates_tried the singleton nogoods decided without
+  /// instantiating: ranks below the stop point that use a rejected witness.
+  size_t candidates_pruned = 0;
+  /// True if the search could not cover the whole combination space —
+  /// the candidate budget ran out, or a pattern edge has no witness within
+  /// the witness budget (verdict is then kUnknown, not kNo).
   bool budget_exhausted = false;
   /// True if a "no" came from the adapted chase's constant-clash failure.
   bool refuted_by_chase = false;
@@ -178,10 +185,13 @@ class ExistenceSolver {
                                       const Instance& source,
                                       Universe& universe,
                                       const ChasedScenario* chased) const;
+  /// Sets *searched (when non-null) if the setting is not flat and the
+  /// bounded search decided it instead.
   ExistenceReport DecideSatBacked(const Setting& setting,
                                   const Instance& source,
                                   Universe& universe,
-                                  const ChasedScenario* chased) const;
+                                  const ChasedScenario* chased,
+                                  bool* searched) const;
 
   /// Completes a candidate graph (egd repair, target tgds, sameAs) and
   /// verifies it; returns the verified solution or nullopt. Thread-safe

@@ -31,15 +31,21 @@ EngineOptions PaperOptions() {
   return options;
 }
 
-/// Theorem 4.1 UNSAT instance (forced contradiction on var n): the
-/// bounded search must exhaust all 2^n witness combinations, which makes
-/// its runtime scale cleanly — the timing workload for the deadline test.
+/// Theorem 4.1 UNSAT instance (forced contradiction on vars n-1 and n):
+/// the bounded search must exhaust all 2^n witness combinations, which
+/// makes its runtime scale cleanly — the timing workload for the deadline
+/// test. The contradiction is the four binary clauses over x_{n-1} and
+/// x_n, not the unit clauses (x_n) and (¬x_n): each unit clause makes one
+/// witness fail on its own, so the singleton nogoods would decide the
+/// whole space without instantiating a candidate.
 SatEncodedExchange MakeUnsatReduction(int n, Universe& universe) {
   Rng rng(77);
   CnfFormula f = RandomKSat(n - 1 > 2 ? n - 1 : 2, 2 * n, 3, rng);
   f.set_num_vars(n);
-  f.AddClause({n});
-  f.AddClause({-n});
+  f.AddClause({n - 1, n});
+  f.AddClause({n - 1, -n});
+  f.AddClause({-(n - 1), n});
+  f.AddClause({-(n - 1), -n});
   Result<SatEncodedExchange> enc =
       EncodeSatToSetting(f, universe, ReductionMode::kEgd);
   EXPECT_TRUE(enc.ok());
@@ -234,6 +240,7 @@ TEST(CancelTest, DeadlineBoundsSolveTimeTenfold) {
     full_elapsed = std::chrono::steady_clock::now() - start;
     ASSERT_EQ(report.verdict, ExistenceVerdict::kNo) << report.note;
     ASSERT_EQ(report.candidates_tried, size_t{1} << n);
+    ASSERT_EQ(report.candidates_pruned, 0u);
     if (full_elapsed >= std::chrono::milliseconds(400)) break;
   }
   ASSERT_GE(full_elapsed, std::chrono::milliseconds(400))

@@ -11,7 +11,6 @@
 // random multi-egd settings at default options against one worker.
 #include <gtest/gtest.h>
 
-#include <iterator>
 #include <set>
 #include <string>
 #include <utility>
@@ -25,6 +24,8 @@
 #include "exchange/parser.h"
 #include "workload/flights.h"
 #include "workload/scenario_parser.h"
+
+#include "random_settings.h"
 
 namespace gdx {
 namespace {
@@ -290,59 +291,6 @@ TEST(ParallelEgdChaseTest, EngineOutputsIdenticalAcrossPoliciesAndModes) {
 }
 
 // --- Multi-egd settings through the engine --------------------------------
-
-/// A random R/S setting shaped like the benchmark's search-random draws —
-/// a few facts, one or two s-t tgds with NRE heads (symbol, concatenation,
-/// union, star) — carrying `num_egds` egds of one or two atoms over the
-/// head labels. Two or more egds make the candidate repair fan the egds'
-/// matchers out over one graph.
-std::string RandomMultiEgdSetting(uint64_t seed, size_t num_egds) {
-  static const char* const kLabels[] = {"a", "b", "c", "hub"};
-  static const char* const kEgdVars[] = {"u1", "u2", "v1", "v2"};
-  static const char* const kRelations[] = {"R", "S"};
-  // One draw per statement: the order of draws within one expression is
-  // unspecified, and the settings must not depend on the compiler.
-  Rng rng(seed);
-  auto pick = [&rng](const auto& from) {
-    const int64_t last = static_cast<int64_t>(std::size(from)) - 1;
-    return std::string(from[rng.UniformInt(0, last)]);
-  };
-  std::string text = "relation R/2\nrelation S/2\n";
-  const int64_t consts = rng.UniformInt(3, 5);
-  for (int64_t i = rng.UniformInt(3, 6); i > 0; --i) {
-    text += "fact " + pick(kRelations);
-    text += "(k" + std::to_string(rng.UniformInt(0, consts - 1));
-    text += ", k" + std::to_string(rng.UniformInt(0, consts - 1)) + ")\n";
-  }
-  for (int64_t i = rng.UniformInt(1, 3); i > 0; --i) {
-    text += "stgd " + pick(kRelations) + "(x, y) -> (x, ";
-    text += pick(kLabels);
-    const double shape = rng.UniformDouble();
-    if (shape < 0.2) {
-      text += " . " + pick(kLabels);
-    } else if (shape < 0.35) {
-      text += " + " + pick(kLabels);
-    } else if (shape < 0.45) {
-      text += "*";
-    }
-    text += rng.Bernoulli(0.5) ? ", e)\n" : ", y)\n";
-  }
-  for (size_t i = 0; i < num_egds; ++i) {
-    std::vector<std::string> used;
-    text += "egd ";
-    for (int64_t j = rng.UniformInt(1, 2); j > 0; --j) {
-      if (!used.empty()) text += ", ";
-      used.push_back(pick(kEgdVars));
-      used.push_back(pick(kEgdVars));
-      text += "(" + used[used.size() - 2] + ", " + pick(kLabels);
-      if (rng.Bernoulli(0.2)) text += "*";
-      text += ", " + used.back() + ")";
-    }
-    text += " -> " + pick(used);
-    text += " = " + pick(used) + "\n";
-  }
-  return text;
-}
 
 TEST(ParallelEgdChaseTest, MultiEgdSettingsMatchOneWorkerAtDefaultOptions) {
   // Default options — component-parallel repair and adaptive intra-solve

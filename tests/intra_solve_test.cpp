@@ -68,13 +68,18 @@ std::vector<std::string> SolveAllToStrings(size_t intra_threads) {
 }
 
 /// Theorem 4.1 UNSAT instance: the bounded search must exhaust all 2^n
-/// witness combinations — the embarrassingly parallel hot path.
+/// witness combinations — the embarrassingly parallel hot path. The
+/// contradiction is the four binary clauses over x_{n-1} and x_n: unit
+/// clauses would let the singleton nogoods decide the space without a
+/// single candidate to fan out.
 SatEncodedExchange MakeUnsatReduction(int n, Universe& universe) {
   Rng rng(77);
   CnfFormula f = RandomKSat(n - 1 > 2 ? n - 1 : 2, 2 * n, 3, rng);
   f.set_num_vars(n);
-  f.AddClause({n});
-  f.AddClause({-n});
+  f.AddClause({n - 1, n});
+  f.AddClause({n - 1, -n});
+  f.AddClause({-(n - 1), n});
+  f.AddClause({-(n - 1), -n});
   Result<SatEncodedExchange> enc =
       EncodeSatToSetting(f, universe, ReductionMode::kEgd);
   EXPECT_TRUE(enc.ok());
@@ -123,6 +128,8 @@ TEST(IntraSolveTest, BoundedSearchExhaustionIsThreadCountInvariant) {
     EXPECT_EQ(report.verdict, ExistenceVerdict::kNo) << report.note;
     EXPECT_EQ(report.candidates_tried, size_t{1} << 7)
         << "complete exhaustion of the 2^7 choice space";
+    EXPECT_EQ(report.candidates_pruned, 0u)
+        << "every candidate must be instantiated, or nothing fans out";
     if (threads == 1) {
       baseline = report;
     } else {

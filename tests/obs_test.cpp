@@ -447,6 +447,7 @@ TEST(MetricsTest, ToStringNeverTruncates) {
   m.minimize_seconds = m.verify_seconds = 1e9;
   m.chase_triggers = m.chase_merges = ~static_cast<size_t>(0);
   m.candidates_tried = m.solutions_enumerated = ~static_cast<size_t>(0);
+  m.candidates_pruned = ~static_cast<size_t>(0);
   m.nre_cache_hits = m.nre_cache_misses = ~static_cast<uint64_t>(0);
   m.answer_cache_hits = m.answer_cache_misses = ~static_cast<uint64_t>(0);
   m.compile_cache_hits = m.compile_cache_misses = ~static_cast<uint64_t>(0);
@@ -457,7 +458,7 @@ TEST(MetricsTest, ToStringNeverTruncates) {
   m.chase_cache_restored_hits = ~static_cast<uint64_t>(0);
 
   std::string s = m.ToString();
-  // All 17 max-valued integer fields render in full (header + 4 work +
+  // All 18 max-valued integer fields render in full (header + 5 work +
   // 8 cache + 4 warm), and the final field of the final line survived —
   // nothing was clipped to a buffer size.
   size_t occurrences = 0;
@@ -465,7 +466,7 @@ TEST(MetricsTest, ToStringNeverTruncates) {
        pos = s.find("18446744073709551615", pos + 1)) {
     ++occurrences;
   }
-  EXPECT_EQ(occurrences, 17u);
+  EXPECT_EQ(occurrences, 18u);
   EXPECT_NE(s.find("chase=18446744073709551615\n"), std::string::npos);
   EXPECT_EQ(s.back(), '\n');
 }
